@@ -39,9 +39,10 @@ let vps () =
     ]
 
 let sound_rtts vps (loc : Coord.t) =
-  List.map
-    (fun (v : Vp.t) -> (v.Vp.id, (Lightrtt.min_rtt_ms v.Vp.coord loc *. 1.35) +. 1.2))
-    vps
+  Hoiho_itdk.Rtts.of_list
+    (List.map
+       (fun (v : Vp.t) -> (v.Vp.id, (Lightrtt.min_rtt_ms v.Vp.coord loc *. 1.35) +. 1.2))
+       vps)
 
 let router vps id c hostnames =
   Router.make id ~hostnames

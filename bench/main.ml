@@ -121,9 +121,9 @@ let fig5 () =
        (Analysis.fig5b ds));
   let one_vp =
     Stat.fraction
-      (fun (r : Router.t) -> List.length r.Router.trace_rtts = 1)
+      (fun (r : Router.t) -> Hoiho_itdk.Rtts.length r.Router.trace_rtts = 1)
       (Array.to_list ds.Dataset.routers
-      |> List.filter (fun (r : Router.t) -> r.Router.ping_rtts <> []))
+      |> List.filter (fun (r : Router.t) -> not (Hoiho_itdk.Rtts.is_empty r.Router.ping_rtts)))
   in
   Report.paper_vs "routers seen by 1 VP in traceroute" "35.8%"
     (Printf.sprintf "%.1f%%" (100.0 *. one_vp))

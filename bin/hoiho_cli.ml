@@ -92,9 +92,17 @@ let apply_seed config = function
   | None -> config
   | Some seed -> { config with Hoiho_netsim.Generate.seed }
 
+(* a corpus that does not parse ends the run with "FILE:LINE: msg" *)
+let load_corpus_or_die path =
+  match Hoiho_itdk.Io.read_file path with
+  | Ok ds -> ds
+  | Error e ->
+      prerr_endline (Hoiho_itdk.Io.error_at path e);
+      exit 1
+
 let dataset_of config seed input =
   match input with
-  | Some path -> (Hoiho_itdk.Io.load path, Hoiho_geodb.Db.default ())
+  | Some path -> (load_corpus_or_die path, Hoiho_geodb.Db.default ())
   | None ->
       let ds, truth = Hoiho_netsim.Generate.generate (apply_seed config seed) in
       (ds, Hoiho_netsim.Truth.db truth)
@@ -605,7 +613,7 @@ let serve_cmd =
         max_pending = max 1 max_pending;
         request_timeout_s = Float.max 0.05 timeout;
         model_path = Some model_path;
-        corpus_path = corpus;
+        corpus = Option.map load_corpus_or_die corpus;
         objectives = Option.map (fun s -> s.Hoiho_net.Slo.objectives) slo;
         health_bucket_ms =
           (match slo with

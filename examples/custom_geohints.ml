@@ -33,7 +33,7 @@ let () =
                   |> List.exists (fun t ->
                          Hoiho_util.Strutil.strip_trailing_digits t = "ash"))
              r.Hoiho_itdk.Router.hostnames
-           && r.Hoiho_itdk.Router.ping_rtts <> [])
+           && not (Hoiho_itdk.Rtts.is_empty r.Hoiho_itdk.Router.ping_rtts))
   in
   Printf.printf "\nrouter #%d: %s\n" router.Hoiho_itdk.Router.id
     (String.concat ", " router.Hoiho_itdk.Router.hostnames);

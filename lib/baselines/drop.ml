@@ -3,6 +3,7 @@ module Db = Hoiho_geodb.Db
 module City = Hoiho_geodb.City
 module Lightrtt = Hoiho_geo.Lightrtt
 module Router = Hoiho_itdk.Router
+module Rtts = Hoiho_itdk.Rtts
 module Dataset = Hoiho_itdk.Dataset
 module Vp = Hoiho_itdk.Vp
 module Psl = Hoiho_psl.Psl
@@ -34,8 +35,8 @@ let prefix_labels suffix hostname =
 let continental_slack_ms = 25.0
 
 let trace_consistent dataset (r : Router.t) (city : City.t) =
-  List.for_all
-    (fun (vp_id, rtt) ->
+  Rtts.for_all
+    (fun vp_id rtt ->
       let vp = Dataset.vp dataset vp_id in
       rtt +. continental_slack_ms >= Lightrtt.min_rtt_ms vp.Vp.coord city.City.coord)
     r.Router.trace_rtts

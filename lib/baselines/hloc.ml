@@ -4,6 +4,7 @@ module City = Hoiho_geodb.City
 module Coord = Hoiho_geo.Coord
 module Lightrtt = Hoiho_geo.Lightrtt
 module Router = Hoiho_itdk.Router
+module Rtts = Hoiho_itdk.Rtts
 module Dataset = Hoiho_itdk.Dataset
 module Vp = Hoiho_itdk.Vp
 module Psl = Hoiho_psl.Psl
@@ -22,7 +23,7 @@ let hint_types = [ Hoiho.Plan.Iata; Hoiho.Plan.Locode; Hoiho.Plan.Clli; Hoiho.Pl
 (* candidate verification: only the nearest pingable VPs are consulted,
    so a distant VP can never contradict the candidate *)
 let verify dataset (router : Router.t) (city : City.t) =
-  match router.Router.ping_rtts with
+  match Rtts.to_list router.Router.ping_rtts with
   | [] -> None
   | rtts ->
       let with_dist =

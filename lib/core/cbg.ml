@@ -1,6 +1,7 @@
 module Coord = Hoiho_geo.Coord
 module Lightrtt = Hoiho_geo.Lightrtt
 module Router = Hoiho_itdk.Router
+module Rtts = Hoiho_itdk.Rtts
 module Vp = Hoiho_itdk.Vp
 
 type estimate = { center : Coord.t; error_km : float; n_constraints : int }
@@ -55,17 +56,16 @@ let estimate consist router =
         }
 
 let shortest_ping consist router =
-  match router.Router.ping_rtts with
-  | [] -> None
-  | _ ->
-      Consist.router_rtts consist router
-      |> List.fold_left
-           (fun best (vp, rtt) ->
-             match best with
-             | Some (_, best_rtt) when best_rtt <= rtt -> best
-             | _ -> Some (vp, rtt))
-           None
-      |> Option.map fst
+  if Rtts.is_empty router.Router.ping_rtts then None
+  else
+    Consist.router_rtts consist router
+    |> List.fold_left
+         (fun best (vp, rtt) ->
+           match best with
+           | Some (_, best_rtt) when best_rtt <= rtt -> best
+           | _ -> Some (vp, rtt))
+         None
+    |> Option.map fst
 
 let feasible consist router loc = Consist.location_consistent consist router loc
 

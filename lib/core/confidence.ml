@@ -1,5 +1,6 @@
 module City = Hoiho_geodb.City
 module Router = Hoiho_itdk.Router
+module Rtts = Hoiho_itdk.Rtts
 
 type suffix_stats = {
   tp : int;
@@ -24,7 +25,8 @@ let stats_of_nc consist (nc : Ncsel.t) =
       match (h.Evalx.outcome, h.Evalx.location) with
       | Evalx.TP, Some city ->
           let r = h.Evalx.sample.Apparent.router in
-          if r.Router.ping_rtts <> [] && r.Router.trace_rtts <> [] then begin
+          if not (Rtts.is_empty r.Router.ping_rtts || Rtts.is_empty r.Router.trace_rtts)
+          then begin
             incr both;
             if
               Consist.channel_consistent consist r Consist.Trace

@@ -1,6 +1,7 @@
 module Coord = Hoiho_geo.Coord
 module Lightrtt = Hoiho_geo.Lightrtt
 module Router = Hoiho_itdk.Router
+module Rtts = Hoiho_itdk.Rtts
 module Vp = Hoiho_itdk.Vp
 module Dataset = Hoiho_itdk.Dataset
 
@@ -59,9 +60,12 @@ let vp_of t id =
     if v.Vp.id <> id then raise (Unknown_vp id);
     v
 
-let router_rtts t (r : Router.t) =
-  let pairs = if r.Router.ping_rtts <> [] then r.Router.ping_rtts else r.Router.trace_rtts in
-  List.map (fun (id, rtt) -> (vp_of t id, rtt)) pairs
+(* ping when the router answered any, else what traceroute saw *)
+let preferred (r : Router.t) =
+  if Rtts.is_empty r.Router.ping_rtts then r.Router.trace_rtts else r.Router.ping_rtts
+
+let router_rtts t r =
+  List.rev (Rtts.fold (fun acc id rtt -> (vp_of t id, rtt) :: acc) [] (preferred r))
 
 let best_case t vp_id (loc : Coord.t) =
   let cache = Domain.DLS.get t.min_rtt_cache in
@@ -74,20 +78,14 @@ let best_case t vp_id (loc : Coord.t) =
       v
 
 let location_consistent t (r : Router.t) loc =
-  let check (vp_id, rtt) = rtt +. slack_ms >= best_case t vp_id loc in
-  let pairs = if r.Router.ping_rtts <> [] then r.Router.ping_rtts else r.Router.trace_rtts in
-  List.for_all check pairs
+  Rtts.for_all (fun vp_id rtt -> rtt +. slack_ms >= best_case t vp_id loc) (preferred r)
 
 type channel = Ping | Trace
 
 let channel_consistent t (r : Router.t) channel loc =
-  let check (vp_id, rtt) = rtt +. slack_ms >= best_case t vp_id loc in
-  let pairs =
-    match channel with
-    | Ping -> r.Router.ping_rtts
-    | Trace -> r.Router.trace_rtts
-  in
-  List.for_all check pairs
+  Rtts.for_all
+    (fun vp_id rtt -> rtt +. slack_ms >= best_case t vp_id loc)
+    (match channel with Ping -> r.Router.ping_rtts | Trace -> r.Router.trace_rtts)
 
 let city_consistent t r (city : Hoiho_geodb.City.t) =
   location_consistent t r city.Hoiho_geodb.City.coord

@@ -1,5 +1,6 @@
 module Dataset = Hoiho_itdk.Dataset
 module Router = Hoiho_itdk.Router
+module Rtts = Hoiho_itdk.Rtts
 module Json = Hoiho_util.Json
 module Obs = Hoiho_obs.Obs
 module Trace = Hoiho_obs.Trace
@@ -23,8 +24,8 @@ type event =
   | Set_hostnames of { router : int; hostnames : string list }
   | Set_rtts of {
       router : int;
-      ping : (int * float) list;
-      trace : (int * float) list;
+      ping : Rtts.t;
+      trace : Rtts.t;
     }
 
 type error = Unknown_router of { event : int; id : int }
@@ -182,9 +183,10 @@ let events_between (old_ds : Dataset.t) (new_ds : Dataset.t) =
    by construction (§4 challenge 2). Decoding is strict and total;
    errors name the offending event index. *)
 
-let rtts_to_json l =
+let rtts_to_json rtts =
   Json.List
-    (List.map (fun (vp, ms) -> Json.List [ Json.Int vp; Json.Float ms ]) l)
+    (List.rev
+       (Rtts.fold (fun acc vp ms -> Json.List [ Json.Int vp; Json.Float ms ] :: acc) [] rtts))
 
 let event_to_json = function
   | Upsert r ->
@@ -265,14 +267,15 @@ let hostnames_field i name j =
 
 let rtts_field i name j =
   match Json.member name j with
-  | None -> []
+  | None -> Rtts.empty
   | Some (Json.List l) ->
-      List.map
-        (function
-          | Json.List [ Json.Int vp; Json.Float ms ] -> (vp, ms)
-          | Json.List [ Json.Int vp; Json.Int ms ] -> (vp, float_of_int ms)
-          | v -> fail i "%s: expected [vp, ms] pair, got %s" name (Json.kind v))
-        l
+      Rtts.of_list
+        (List.map
+           (function
+             | Json.List [ Json.Int vp; Json.Float ms ] -> (vp, ms)
+             | Json.List [ Json.Int vp; Json.Int ms ] -> (vp, float_of_int ms)
+             | v -> fail i "%s: expected [vp, ms] pair, got %s" name (Json.kind v))
+           l)
   | Some v -> fail i "%s: expected list, got %s" name (Json.kind v)
 
 let event_of_json i j =

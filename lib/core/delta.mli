@@ -28,8 +28,8 @@ type event =
       (** wholesale rename (renumbering, convention migration) *)
   | Set_rtts of {
       router : int;
-      ping : (int * float) list;
-      trace : (int * float) list;
+      ping : Hoiho_itdk.Rtts.t;
+      trace : Hoiho_itdk.Rtts.t;
     }  (** fresh RTT measurements, replacing both channels *)
 
 type error = Unknown_router of { event : int; id : int }

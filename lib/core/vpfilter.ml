@@ -2,6 +2,7 @@ module Coord = Hoiho_geo.Coord
 module Lightrtt = Hoiho_geo.Lightrtt
 module Dataset = Hoiho_itdk.Dataset
 module Router = Hoiho_itdk.Router
+module Rtts = Hoiho_itdk.Rtts
 module Vp = Hoiho_itdk.Vp
 
 (* discs of radius r1 around u and r2 around v intersect iff
@@ -23,26 +24,24 @@ let compatibility ds ?(sample = 500) vp_id =
      Array.iter
        (fun (r : Router.t) ->
          if !seen >= sample then raise Exit;
-         match List.assoc_opt vp_id r.Router.ping_rtts with
+         match Rtts.find_opt vp_id r.Router.ping_rtts with
          | None -> ()
          | Some my_rtt ->
              let u = Hashtbl.find vps vp_id in
-             let others =
-               List.filter (fun (id, _) -> id <> vp_id) r.Router.ping_rtts
-             in
-             if others <> [] then begin
-               incr seen;
-               let ok =
-                 List.filter
-                   (fun (id, rtt) ->
+             (* (samples from other VPs, those whose disc meets u's) *)
+             let others, ok =
+               Rtts.fold
+                 (fun (others, ok) id rtt ->
+                   if id = vp_id then (others, ok)
+                   else
                      match Hashtbl.find_opt vps id with
-                     | Some v -> discs_intersect u my_rtt v rtt
-                     | None -> false)
-                   others
-               in
-               scores :=
-                 (float_of_int (List.length ok) /. float_of_int (List.length others))
-                 :: !scores
+                     | Some v when discs_intersect u my_rtt v rtt -> (others + 1, ok + 1)
+                     | _ -> (others + 1, ok))
+                 (0, 0) r.Router.ping_rtts
+             in
+             if others > 0 then begin
+               incr seen;
+               scores := (float_of_int ok /. float_of_int others) :: !scores
              end)
        ds.Dataset.routers
    with Exit -> ());
@@ -55,7 +54,7 @@ let detect ?(threshold = 0.8) ?sample ds =
          else None)
 
 let strip ds bad =
-  let keep pairs = List.filter (fun (id, _) -> not (List.mem id bad)) pairs in
+  let keep = Rtts.filter (fun id _ -> not (List.mem id bad)) in
   Dataset.make ~label:ds.Dataset.label ~links:ds.Dataset.links
     ~routers:
       (Array.map

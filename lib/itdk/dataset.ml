@@ -27,7 +27,7 @@ let n_with_rtt t =
 
 let n_responsive t =
   Array.fold_left
-    (fun acc r -> if r.Router.ping_rtts <> [] then acc + 1 else acc)
+    (fun acc r -> if Rtts.is_empty r.Router.ping_rtts then acc else acc + 1)
     0 t.routers
 
 let by_suffix t =

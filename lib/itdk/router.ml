@@ -10,27 +10,19 @@ type t = {
   id : int;
   hostnames : string list;
   asn : int option;
-  ping_rtts : (int * float) list;
-  trace_rtts : (int * float) list;
+  ping_rtts : Rtts.t;
+  trace_rtts : Rtts.t;
   truth : truth option;
 }
 
-let make ?(hostnames = []) ?asn ?(ping_rtts = []) ?(trace_rtts = []) ?truth id =
+let make ?(hostnames = []) ?asn ?(ping_rtts = Rtts.empty) ?(trace_rtts = Rtts.empty) ?truth
+    id =
   { id; hostnames; asn; ping_rtts; trace_rtts; truth }
 
 let has_hostname t = t.hostnames <> []
-let has_rtt t = t.ping_rtts <> [] || t.trace_rtts <> []
-
-let min_pair = function
-  | [] -> None
-  | (v, r) :: rest ->
-      Some
-        (List.fold_left
-           (fun (bv, br) (v', r') -> if r' < br then (v', r') else (bv, br))
-           (v, r) rest)
-
-let min_ping_rtt t = min_pair t.ping_rtts
-let min_trace_rtt t = min_pair t.trace_rtts
+let has_rtt t = not (Rtts.is_empty t.ping_rtts && Rtts.is_empty t.trace_rtts)
+let min_ping_rtt t = Rtts.min t.ping_rtts
+let min_trace_rtt t = Rtts.min t.trace_rtts
 
 let suffixes t =
   List.filter_map Hoiho_psl.Psl.registered_suffix t.hostnames

@@ -26,9 +26,9 @@ type t = {
       (** the AS that operates the router, from BGP-derived IP2AS data —
           an observable input (like RTTs), used to train ASN-extraction
           conventions (§3.4) *)
-  ping_rtts : (int * float) list;
+  ping_rtts : Rtts.t;
       (** (vp id, min RTT ms) from followup ping measurements *)
-  trace_rtts : (int * float) list;
+  trace_rtts : Rtts.t;
       (** (vp id, min RTT ms) observed in traceroute only *)
   truth : truth option;
 }
@@ -36,8 +36,8 @@ type t = {
 val make :
   ?hostnames:string list ->
   ?asn:int ->
-  ?ping_rtts:(int * float) list ->
-  ?trace_rtts:(int * float) list ->
+  ?ping_rtts:Rtts.t ->
+  ?trace_rtts:Rtts.t ->
   ?truth:truth ->
   int ->
   t
@@ -48,7 +48,8 @@ val has_rtt : t -> bool
 (** True when any RTT sample (ping or traceroute) exists. *)
 
 val min_ping_rtt : t -> (int * float) option
-(** The (vp, rtt) pair with the smallest ping RTT. *)
+(** The (vp, rtt) pair with the smallest ping RTT; the first one on a
+    tie. *)
 
 val min_trace_rtt : t -> (int * float) option
 

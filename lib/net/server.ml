@@ -1,7 +1,6 @@
 module Serve = Hoiho_serve.Serve
 module Learned_io = Hoiho.Learned_io
 module Delta = Hoiho.Delta
-module Io = Hoiho_itdk.Io
 module Dataset = Hoiho_itdk.Dataset
 module City = Hoiho_geodb.City
 module Strutil = Hoiho_util.Strutil
@@ -45,7 +44,7 @@ type config = {
   request_timeout_s : float;
   max_body : int;
   model_path : string option;
-  corpus_path : string option;
+  corpus : Dataset.t option;
   objectives : Health.objective list option;
   health_bucket_ms : float;
   health_nbuckets : int;
@@ -64,7 +63,7 @@ let default_config =
     request_timeout_s = 5.0;
     max_body = 1 lsl 20;
     model_path = None;
-    corpus_path = None;
+    corpus = None;
     objectives = None;
     health_bucket_ms = 5000.0;
     health_nbuckets = 12;
@@ -831,9 +830,7 @@ let start ?(config = default_config) model =
       active;
       explain_mutex = Mutex.create ();
       relearn_mutex = Mutex.create ();
-      (* loaded before the accept domains spawn: an unreadable corpus
-         fails the start, not the first /observe *)
-      corpus = Option.map Io.load config.corpus_path;
+      corpus = config.corpus;
       accepters = [];
       housekeeper = None;
       stopped = false;

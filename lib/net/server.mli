@@ -33,7 +33,7 @@
       observed calibration deciles behind the drift measurement.
     - [POST /reload[?model=PATH]] — hot model reload, see below.
     - [POST /observe] — a body of {!Hoiho.Delta} wire events: the
-      daemon applies them to its retained corpus ([corpus_path]),
+      daemon applies them to its retained corpus ([corpus]),
       incrementally relearns only the dirty suffix groups, and swaps
       the result in with the warm cache carried over minus the dirty
       suffixes' entries ({!Hoiho_serve.Serve.rebuild}). Malformed
@@ -82,7 +82,7 @@ type config = {
   request_timeout_s : float;  (** per-request read deadline *)
   max_body : int;  (** request body cap, bytes *)
   model_path : string option;  (** snapshot to re-read on reload *)
-  corpus_path : string option;
+  corpus : Hoiho_itdk.Dataset.t option;
       (** ITDK corpus backing [POST /observe]; must be the corpus the
           served model was (default-options) learned from, or the
           incremental-equivalence contract of {!Hoiho.Delta} does not

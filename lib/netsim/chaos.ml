@@ -17,6 +17,7 @@
 module Prng = Hoiho_util.Prng
 module Db = Hoiho_geodb.Db
 module Router = Hoiho_itdk.Router
+module Rtts = Hoiho_itdk.Rtts
 module Dataset = Hoiho_itdk.Dataset
 module Vp = Hoiho_itdk.Vp
 module Obs = Hoiho_obs.Obs
@@ -105,7 +106,7 @@ let map_rtts f (r : Router.t) =
 let lose_rtts cfg rng routers =
   Array.map
     (map_rtts
-       (List.filter (fun _pair ->
+       (Rtts.filter (fun _ _ ->
             if fire cfg rng then begin
               Obs.incr c_rtt_drop;
               false
@@ -119,7 +120,7 @@ let lose_rtts cfg rng routers =
 let outlier_rtts cfg rng routers =
   Array.map
     (map_rtts
-       (List.map (fun (vp, rtt) ->
+       (Rtts.map (fun vp rtt ->
             if fire cfg rng then begin
               Obs.incr c_rtt_out;
               if Prng.bool rng then (vp, rtt *. (10.0 +. Prng.float rng 90.0))
@@ -131,7 +132,7 @@ let outlier_rtts cfg rng routers =
 let negate_rtts cfg rng routers =
   Array.map
     (map_rtts
-       (List.map (fun (vp, rtt) ->
+       (Rtts.map (fun vp rtt ->
             if fire cfg rng then begin
               Obs.incr c_rtt_neg;
               (vp, -.rtt)
@@ -158,7 +159,7 @@ let alias_errors cfg rng max_vp_id routers =
         end
         else
           let dangle =
-            List.map (fun (vp, rtt) ->
+            Rtts.map (fun vp rtt ->
                 if Prng.bool rng then (max_vp_id + 1 + Prng.int rng 64, rtt)
                 else (vp, rtt))
           in

@@ -4,6 +4,7 @@ module Db = Hoiho_geodb.Db
 module Coord = Hoiho_geo.Coord
 module Lightrtt = Hoiho_geo.Lightrtt
 module Router = Hoiho_itdk.Router
+module Rtts = Hoiho_itdk.Rtts
 module Vp = Hoiho_itdk.Vp
 module Dataset = Hoiho_itdk.Dataset
 
@@ -66,7 +67,7 @@ let trace_rtt rng ~vp_coord ~loc =
   +. 1.0 +. Prng.float rng 8.0
 
 let ping_rtts rng vps ~loc ~responsive =
-  if not responsive then []
+  if not responsive then Rtts.empty
   else begin
     (* with p=0.9 the router is reachable from (nearly) all VPs; else a
        random subset, mirroring fig. 5's 89.4% all-VP coverage *)
@@ -76,6 +77,7 @@ let ping_rtts rng vps ~loc ~responsive =
            if Prng.float rng 1.0 < p_vp then
              Some (vp.Vp.id, ping_rtt rng ~vp_coord:vp.Vp.coord ~loc)
            else None)
+    |> Rtts.of_list
   end
 
 let trace_vp_count rng n_vps =
@@ -97,6 +99,7 @@ let trace_rtts rng vps ~loc =
   |> List.map (fun id ->
          let vp = vps.(id) in
          (vp.Vp.id, trace_rtt rng ~vp_coord:vp.Vp.coord ~loc))
+  |> Rtts.of_list
 
 (* --- hostname rendering for one router --- *)
 
@@ -258,12 +261,10 @@ let unnamed_routers rng db vps next_id n p_responsive =
 
 (* a VP whose access router spoofs responses: RTTs of 1-2 ms no matter
    how far the probed router is (§5.1.4) *)
-let spoof_rtts rng spoofers pairs =
-  List.map
-    (fun (vp_id, rtt) ->
+let spoof_rtts rng spoofers =
+  Rtts.map (fun vp_id rtt ->
       if List.mem vp_id spoofers then (vp_id, 1.0 +. Prng.float rng 1.0)
       else (vp_id, rtt))
-    pairs
 
 let generate config =
   let rng = Prng.create config.seed in

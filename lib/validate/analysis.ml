@@ -3,6 +3,7 @@ module Db = Hoiho_geodb.Db
 module Coord = Hoiho_geo.Coord
 module Lightrtt = Hoiho_geo.Lightrtt
 module Router = Hoiho_itdk.Router
+module Rtts = Hoiho_itdk.Rtts
 module Dataset = Hoiho_itdk.Dataset
 module Vp = Hoiho_itdk.Vp
 module Pipeline = Hoiho.Pipeline
@@ -126,9 +127,9 @@ let table4 (p : Pipeline.t) =
 
 (* --- figure 5 --- *)
 
-let min_rtt = function
-  | [] -> None
-  | (_, r) :: rest -> Some (List.fold_left (fun m (_, r') -> Float.min m r') r rest)
+let min_rtt rtts =
+  if Rtts.is_empty rtts then None
+  else Some (Rtts.fold (fun m _ r -> Float.min m r) infinity rtts)
 
 let fig5a ds =
   let pairs =
@@ -149,8 +150,8 @@ let fig5b ds =
   let rows =
     Array.to_list ds.Dataset.routers
     |> List.filter_map (fun (r : Router.t) ->
-           if r.Router.ping_rtts = [] then None
-           else Some (List.length r.Router.trace_rtts, List.length r.Router.ping_rtts))
+           if Rtts.is_empty r.Router.ping_rtts then None
+           else Some (Rtts.length r.Router.trace_rtts, Rtts.length r.Router.ping_rtts))
   in
   let ks = [ 1; 2; 3; 5; 10; 20; 40; 80; 110 ] in
   List.map
@@ -313,7 +314,7 @@ let cai_feasibility (p : Pipeline.t) ~suffixes =
       List.filter_map
         (fun pairs ->
           match
-            List.filter (fun ((r : Router.t), _) -> r.Router.ping_rtts <> []) pairs
+            List.filter (fun ((r : Router.t), _) -> not (Rtts.is_empty r.Router.ping_rtts)) pairs
           with
           | [] -> None
           | ping_pairs -> Some ping_pairs)

@@ -42,7 +42,8 @@ let rtt_from (v : Vp.t) (loc : Coord.t) =
 
 let router ~id ~at ~vps ?(hostnames = []) () =
   let ping_rtts =
-    List.map (fun (v : Vp.t) -> (v.Vp.id, rtt_from v at.City.coord)) vps
+    Hoiho_itdk.Rtts.of_list
+      (List.map (fun (v : Vp.t) -> (v.Vp.id, rtt_from v at.City.coord)) vps)
   in
   Router.make id ~hostnames ~ping_rtts
     ~truth:
@@ -121,3 +122,14 @@ let contains haystack needle =
     i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1))
   in
   go 0
+
+(* the ITDK text codec where a test expects it to succeed *)
+let itdk_text ds =
+  match Hoiho_itdk.Io.to_string ds with
+  | Ok s -> s
+  | Error e -> Alcotest.failf "Io.to_string: %s" (Hoiho_itdk.Io.error_to_string e)
+
+let itdk_parse s =
+  match Hoiho_itdk.Io.of_string s with
+  | Ok ds -> ds
+  | Error e -> Alcotest.failf "Io.of_string: %s" (Hoiho_itdk.Io.error_to_string e)

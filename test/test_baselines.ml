@@ -87,7 +87,7 @@ let test_hloc_needs_ping () =
   let vps = Helpers.std_vps () in
   let silent =
     Hoiho_itdk.Router.make 99 ~hostnames:[ "ae1.cr1.lhr1.example.net" ]
-      ~trace_rtts:[ (0, 80.0) ]
+      ~trace_rtts:(Hoiho_itdk.Rtts.of_list [ (0, 80.0) ])
   in
   ignore vps;
   Alcotest.(check bool) "no ping, no inference" true

@@ -49,7 +49,7 @@ let test_shortest_ping () =
 
 let test_shortest_ping_needs_ping () =
   let vps = Helpers.std_vps () in
-  let r = Router.make 2 ~trace_rtts:[ (0, 50.0) ] in
+  let r = Router.make 2 ~trace_rtts:(Hoiho_itdk.Rtts.of_list [ (0, 50.0) ]) in
   let ds = Helpers.dataset [ r ] vps in
   let consist = Consist.create ds in
   Alcotest.(check bool) "trace only, none" true (Cbg.shortest_ping consist r = None)

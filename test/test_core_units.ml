@@ -101,8 +101,8 @@ let test_consist_prefers_ping () =
      same VP must not loosen the test *)
   let r =
     Router.make 0
-      ~ping_rtts:[ (3, 1.5) ] (* VP 3 = London *)
-      ~trace_rtts:[ (3, 400.0) ]
+      ~ping_rtts:(Hoiho_itdk.Rtts.of_list [ (3, 1.5) ]) (* VP 3 = London *)
+      ~trace_rtts:(Hoiho_itdk.Rtts.of_list [ (3, 400.0) ])
   in
   let ds = Helpers.dataset [ r ] vps in
   let consist = Consist.create ds in
@@ -113,7 +113,7 @@ let test_consist_prefers_ping () =
 let test_consist_trace_fallback () =
   let vps = Helpers.std_vps () in
   let tokyo = Helpers.city "tokyo" "jp" in
-  let r = Router.make 1 ~trace_rtts:[ (3, 400.0) ] in
+  let r = Router.make 1 ~trace_rtts:(Hoiho_itdk.Rtts.of_list [ (3, 400.0) ]) in
   let ds = Helpers.dataset [ r ] vps in
   let consist = Consist.create ds in
   (* 400 ms from London admits nearly anywhere *)

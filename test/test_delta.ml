@@ -124,8 +124,8 @@ let gen_stream seed ds =
             {
               router = id;
               ping =
-                List.map
-                  (fun (v, ms) -> (v, ms +. Prng.float rng 2.0))
+                Hoiho_itdk.Rtts.map
+                  (fun v ms -> (v, ms +. Prng.float rng 2.0))
                   r.Router.ping_rtts;
               trace = r.Router.trace_rtts;
             }
@@ -277,7 +277,7 @@ let test_events_between_roundtrip () =
       Delta.Set_hostnames { router = r0.Router.id; hostnames = [ "re.cr1.lhr1.example.net" ] };
       Delta.Set_rtts
         { router = r2.Router.id;
-          ping = List.map (fun (v, ms) -> (v, ms +. 0.25)) r2.Router.ping_rtts;
+          ping = Hoiho_itdk.Rtts.map (fun v ms -> (v, ms +. 0.25)) r2.Router.ping_rtts;
           trace = r2.Router.trace_rtts };
       Delta.Upsert (Router.make 9001 ~hostnames:[ "new.cr1.fra1.example.net" ]
                       ~ping_rtts:r0.Router.ping_rtts);

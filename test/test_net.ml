@@ -728,21 +728,12 @@ let observe_fixture () =
     (geohint probe_expected) (geohint expected_after);
   (swap probe_host, expected_after, Delta.events_to_string events)
 
-let with_corpus_file ds f =
-  let path = Filename.temp_file "hoiho_net_corpus" ".itdk" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      Io.save path ds;
-      f path)
-
 let test_observe_relearn_mid_stream () =
   let p, model, _ = Lazy.force fixture in
   let probe, expected_after, events_json = observe_fixture () in
   let pinned_h, pinned_e = List.hd (corpus_lines ()) in
-  with_corpus_file p.Pipeline.dataset (fun corpus_file ->
       with_server
-        ~config:{ small_config with Server.corpus_path = Some corpus_file }
+        ~config:{ small_config with Server.corpus = Some p.Pipeline.dataset }
         model
         (fun _ port ->
           let c = kc_connect port in
@@ -791,7 +782,7 @@ let test_observe_relearn_mid_stream () =
               in
               Alcotest.(check int) "clean suffix status" 200 status;
               Alcotest.(check string) "clean suffix unchanged"
-                (pinned_e ^ "\n") body)))
+                (pinned_e ^ "\n") body))
 
 let test_observe_unconfigured () =
   let _, model, _ = Lazy.force fixture in

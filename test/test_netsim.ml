@@ -163,14 +163,13 @@ let tiny () = Generate.generate (Presets.tiny ())
 
 let test_generation_deterministic () =
   let ds1, _ = tiny () and ds2, _ = tiny () in
-  Alcotest.(check string) "same output" (Hoiho_itdk.Io.to_string ds1)
-    (Hoiho_itdk.Io.to_string ds2)
+  Alcotest.(check string) "same output" (Helpers.itdk_text ds1) (Helpers.itdk_text ds2)
 
 let test_seed_changes_output () =
   let ds1, _ = Generate.generate (Presets.tiny ~seed:1 ()) in
   let ds2, _ = Generate.generate (Presets.tiny ~seed:2 ()) in
   Alcotest.(check bool) "different" false
-    (Hoiho_itdk.Io.to_string ds1 = Hoiho_itdk.Io.to_string ds2)
+    (Helpers.itdk_text ds1 = Helpers.itdk_text ds2)
 
 let test_vps_distinct_cities () =
   let ds, _ = tiny () in
@@ -187,14 +186,15 @@ let test_rtt_soundness () =
       match r.Router.truth with
       | None -> ()
       | Some t ->
-          List.iter
-            (fun (vp_id, rtt) ->
-              match vp vp_id with
-              | Some v ->
-                  Alcotest.(check bool) "ping sound" true
-                    (rtt +. 1e-6 >= Lightrtt.min_rtt_ms v.Vp.coord t.Router.coord)
-              | None -> Alcotest.fail "dangling vp id")
-            (r.Router.ping_rtts @ r.Router.trace_rtts))
+          let check vp_id rtt =
+            match vp vp_id with
+            | Some v ->
+                Alcotest.(check bool) "ping sound" true
+                  (rtt +. 1e-6 >= Lightrtt.min_rtt_ms v.Vp.coord t.Router.coord)
+            | None -> Alcotest.fail "dangling vp id"
+          in
+          Hoiho_itdk.Rtts.iter check r.Router.ping_rtts;
+          Hoiho_itdk.Rtts.iter check r.Router.trace_rtts)
     ds.Dataset.routers
 
 let test_trace_rtts_exist () =
@@ -202,7 +202,7 @@ let test_trace_rtts_exist () =
   Array.iter
     (fun (r : Router.t) ->
       Alcotest.(check bool) "every router traceroute-observed" true
-        (r.Router.trace_rtts <> []))
+        (not (Hoiho_itdk.Rtts.is_empty r.Router.trace_rtts)))
     ds.Dataset.routers
 
 let test_hostname_fraction () =

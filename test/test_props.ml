@@ -257,18 +257,18 @@ let prop_rtt_soundness seed =
       match r.Hoiho_itdk.Router.truth with
       | None -> true
       | Some t ->
-          List.for_all
-            (fun (vp_id, rtt) ->
-              rtt +. 1e-6
-              >= Lightrtt.min_rtt_ms (vp vp_id).Hoiho_itdk.Vp.coord
-                   t.Hoiho_itdk.Router.coord)
-            (r.Hoiho_itdk.Router.ping_rtts @ r.Hoiho_itdk.Router.trace_rtts))
+          let sound vp_id rtt =
+            rtt +. 1e-6
+            >= Lightrtt.min_rtt_ms (vp vp_id).Hoiho_itdk.Vp.coord t.Hoiho_itdk.Router.coord
+          in
+          Hoiho_itdk.Rtts.for_all sound r.Hoiho_itdk.Router.ping_rtts
+          && Hoiho_itdk.Rtts.for_all sound r.Hoiho_itdk.Router.trace_rtts)
     ds.Hoiho_itdk.Dataset.routers
 
 let prop_io_roundtrip seed =
   let ds, _ = Hoiho_netsim.Generate.generate (small_config seed) in
-  let text = Hoiho_itdk.Io.to_string ds in
-  Hoiho_itdk.Io.to_string (Hoiho_itdk.Io.of_string text) = text
+  let text = Helpers.itdk_text ds in
+  Helpers.itdk_text (Helpers.itdk_parse text) = text
 
 let small_int = QCheck.small_int
 let string_arb = QCheck.string

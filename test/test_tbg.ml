@@ -85,7 +85,7 @@ let test_generated_links_valid () =
 
 let test_links_roundtrip () =
   let ds, _ = Hoiho_netsim.Generate.generate (Hoiho_netsim.Presets.tiny ~seed:9 ()) in
-  let ds2 = Hoiho_itdk.Io.of_string (Hoiho_itdk.Io.to_string ds) in
+  let ds2 = Helpers.itdk_parse (Helpers.itdk_text ds) in
   Alcotest.(check int) "links preserved"
     (Array.length ds.Hoiho_itdk.Dataset.links)
     (Array.length ds2.Hoiho_itdk.Dataset.links)

@@ -38,8 +38,8 @@ let test_strip_restores_soundness () =
       match r.Router.truth with
       | None -> ()
       | Some t ->
-          List.iter
-            (fun (vp_id, rtt) ->
+          Hoiho_itdk.Rtts.iter
+            (fun vp_id rtt ->
               let vp = Hoiho_itdk.Dataset.vp cleaned vp_id in
               Alcotest.(check bool) "sound after strip" true
                 (rtt +. 1e-6
