@@ -1125,15 +1125,9 @@ let perf () =
   let batch_run, batch_ms =
     best_of_3 (fun () -> Pipeline.run ~db ~jobs incr_run.Pipeline.dataset)
   in
-  let normalize_model p =
-    {
-      (Hoiho.Learned_io.of_pipeline p) with
-      Hoiho.Learned_io.metrics = Hoiho_util.Json.Obj [];
-    }
-  in
   let relearn_identical =
-    Hoiho.Learned_io.encode (normalize_model incr_run)
-    = Hoiho.Learned_io.encode (normalize_model batch_run)
+    Hoiho.Learned_io.encode (Hoiho.Learned_io.of_pipeline incr_run)
+    = Hoiho.Learned_io.encode (Hoiho.Learned_io.of_pipeline batch_run)
   in
   if not relearn_identical then
     failwith "relearn: incremental output diverges from batch";

@@ -354,7 +354,6 @@ let save_model_cmd =
   in
   let run config seed input out =
     let ds, db = dataset_of config seed input in
-    Hoiho_obs.Obs.reset ();
     let pipeline = Hoiho.Pipeline.run ~db ds in
     let model = Hoiho.Learned_io.of_pipeline pipeline in
     Hoiho.Learned_io.save out model;
@@ -520,31 +519,15 @@ let serve_cmd =
             "Accept-loop domains (and apply parallelism). Defaults to the \
              worker-pool default (HOIHO_JOBS or the core count).")
   in
-  let batch_max =
-    Arg.(
-      value
-      & opt int 64
-      & info [ "batch-max" ] ~docv:"N"
-          ~doc:"Coalesce at most $(docv) hostnames into one apply batch.")
-  in
-  let batch_wait =
-    Arg.(
-      value
-      & opt float 1.0
-      & info [ "batch-wait-ms" ] ~docv:"MS"
-          ~doc:
-            "Hold a forming batch open for up to $(docv) ms after its first \
-             hostname while more requests are in flight.")
-  in
   let max_pending =
     Arg.(
       value
       & opt int 1024
       & info [ "max-pending" ] ~docv:"N"
           ~doc:
-            "Admission bound: with $(docv) hostnames already queued, new \
-             requests are shed with 503 instead of joining an unbounded \
-             backlog.")
+            "Admission bound: a lookup that would take the hostnames in \
+             flight across all accept domains past $(docv) is shed with 503 \
+             and Retry-After instead of queuing.")
   in
   let timeout =
     Arg.(
@@ -586,8 +569,8 @@ let serve_cmd =
              endpoint, status, latency, batch size, cache hit, confidence, \
              shed/degraded flags), rotated by size to $(docv).1.")
   in
-  let run model_path corpus slo access_log port host jobs batch_max batch_wait
-      max_pending timeout =
+  let run model_path corpus slo access_log port host jobs max_pending
+      timeout =
     let model = load_model_or_die model_path in
     let slo =
       match slo with
@@ -608,8 +591,6 @@ let serve_cmd =
           (match jobs with
           | Some j -> max 1 j
           | None -> Hoiho_util.Pool.default_jobs ());
-        max_batch = max 1 batch_max;
-        max_wait_ms = Float.max 0.0 batch_wait;
         max_pending = max 1 max_pending;
         request_timeout_s = Float.max 0.05 timeout;
         model_path = Some model_path;
@@ -656,13 +637,13 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Serve geolocations from a saved model over HTTP: a multi-domain \
-          TCP daemon with request batching, bounded admission (503 under \
-          backlog), OpenMetrics at /metrics, decision traces at /explain, \
+          TCP daemon with bounded admission (503 past the in-flight bound), \
+          OpenMetrics at /metrics, decision traces at /explain, \
           and hot model reload (SIGHUP or POST /reload) that swaps the \
           snapshot atomically without dropping traffic.")
     Term.(
       const run $ model_path $ corpus $ slo $ access_log $ port $ host $ jobs
-      $ batch_max $ batch_wait $ max_pending $ timeout)
+      $ max_pending $ timeout)
 
 (* --- health --- *)
 

@@ -498,15 +498,13 @@ let of_pipeline (p : Pipeline.t) =
     if p.Pipeline.db == Db.default () then Default
     else Embedded (Db.cities p.Pipeline.db)
   in
-  let metrics =
-    match Json.parse (Hoiho_obs.Obs.to_json p.Pipeline.metrics) with
-    | Ok j -> j
-    | Error _ -> Json.Obj []
-  in
   let calibration =
     Some (Confidence.expected_profile (List.map (fun sm -> sm.stats) suffixes))
   in
-  { dictionary; suffixes; calibration; metrics }
+  (* the run's metrics hold wall-clock timings and scheduling counters
+     that differ between runs and [jobs] settings; left out, equal
+     corpora snapshot to equal bytes *)
+  { dictionary; suffixes; calibration; metrics = Json.Obj [] }
 
 let db t =
   match t.dictionary with

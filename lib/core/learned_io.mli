@@ -49,8 +49,10 @@ type t = {
           DESIGN.md §14); [None] for pre-v3 snapshots — drift
           monitoring disabled *)
   metrics : Hoiho_util.Json.t;
-      (** observability snapshot of the learn run, carried verbatim for
-          provenance (an empty object when unavailable) *)
+      (** free-form provenance object, carried verbatim through
+          encode/decode. {!of_pipeline} writes an empty object so that
+          snapshots are byte-stable; run metrics come from
+          [hoiho learn --metrics FILE]. *)
 }
 
 val format_version : int
@@ -94,7 +96,8 @@ val of_pipeline : Pipeline.t -> t
     selected an NC (with its classification, so apply can honor the
     usable-only contract), the learned overlays, the dictionary (by
     reference when it is physically {!Hoiho_geodb.Db.default}, embedded
-    otherwise), and the run's metrics snapshot. *)
+    otherwise), and an empty [metrics] object. Deterministic: the same
+    run encodes to the same bytes at any [jobs] setting. *)
 
 val db : t -> Hoiho_geodb.Db.t
 (** Resolve {!dictionary} to a database. Rebuilding an [Embedded]

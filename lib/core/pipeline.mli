@@ -110,5 +110,17 @@ val geolocate_conf : t -> string -> Hoiho_geodb.City.t option * float
     the score is deterministic across [jobs] settings and byte-identical
     to what {!Hoiho_serve} computes from this run's snapshot. *)
 
+val trace_groups : string option array -> string
+(** Decision-trace rendering of a regex match's capture groups
+    (comma-separated, [-] for a group that did not participate) — the
+    ["groups"] attr of a candidate span. Shared with
+    {!Hoiho_serve.Serve} so both apply paths trace identically. *)
+
+val trace_resolve_result :
+  Hoiho_geodb.City.t list -> Evalx.provenance -> float -> unit
+(** Attach the dictionary-resolution outcome (provenance, resolved
+    city, collision losers, confidence) to the current trace span —
+    the attrs of a ["*.resolve"] span. Shared like {!trace_groups}. *)
+
 val geolocated_routers : t -> suffix_result -> int
 (** Routers of a suffix with at least one TP hostname under the NC. *)

@@ -25,6 +25,7 @@ let c_reload_failures = Obs.counter "net.reload_failures"
 let c_observes = Obs.counter "net.observes"
 let c_observe_events = Obs.counter "net.observe_events"
 let c_observe_failures = Obs.counter "net.observe_failures"
+let c_shed = Obs.counter "net.shed"
 let h_request = Obs.histogram "net.request_ms"
 
 (* level gauges (set, not high-water): the current evaluated health
@@ -38,8 +39,6 @@ type config = {
   host : string;
   port : int;
   jobs : int;
-  max_batch : int;
-  max_wait_ms : float;
   max_pending : int;
   request_timeout_s : float;
   max_body : int;
@@ -57,8 +56,6 @@ let default_config =
     host = "127.0.0.1";
     port = 0;
     jobs = Pool.default_jobs ();
-    max_batch = 64;
-    max_wait_ms = 1.0;
     max_pending = 1024;
     request_timeout_s = 5.0;
     max_body = 1 lsl 20;
@@ -76,7 +73,9 @@ type t = {
   listener : Unix.file_descr;
   bound_port : int;
   serve : Serve.t Atomic.t;
-  batcher : Serve.answer Batcher.t;
+  (* hostnames admitted and not yet answered, across every accept
+     domain: the admission count [lookup] bounds by [max_pending] *)
+  in_flight : int Atomic.t;
   monitor : Health.monitor;
   access : Access_log.t option;
   (* the housekeeper's cached evaluation, read per request for the
@@ -85,9 +84,6 @@ type t = {
   rid_counter : int Atomic.t;
   stop_flag : bool Atomic.t;
   reload_flag : bool Atomic.t;
-  (* producers currently inside a request handler; the batcher's
-     coalescing hint *)
-  active : int Atomic.t;
   explain_mutex : Mutex.t;
   (* serializes /observe: relearn-and-swap must see a consistent
      (corpus, model) pair. Guarded by [relearn_mutex]. *)
@@ -227,6 +223,50 @@ let respond ctx fd ?(headers = []) ?content_type ~status body =
        ~headers:(("X-Request-Id", ctx.rid) :: headers)
        ?content_type ~status body)
 
+(* --- lookups ---
+
+   Answered on the accept domain that read the request: a warm apply
+   costs about a microsecond, less than handing it to another domain
+   would. Admission is one count of hostnames in flight across every
+   accept domain; a request that would take it past [max_pending] is
+   shed whole, before any work, with 503 + Retry-After. The count is
+   released however the apply ends, before the response is written.
+   Every answer's confidence — cached or computed, whichever endpoint
+   asked — feeds the drift window here. *)
+
+let rec admit t n =
+  let cur = Atomic.get t.in_flight in
+  cur + n <= t.cfg.max_pending
+  && (Atomic.compare_and_set t.in_flight cur (cur + n) || admit t n)
+
+(* [k] receives one answer per key, in order *)
+let lookup t ctx fd keys k =
+  let n = List.length keys in
+  if n = 0 then k []
+  else if not (admit t n) then begin
+    Obs.add c_shed n;
+    ctx.shed <- true;
+    respond ctx fd
+      ~headers:[ ("Retry-After", "1") ]
+      ~status:503 "overloaded, retry later\n"
+  end
+  else begin
+    let answers =
+      Fun.protect
+        ~finally:(fun () -> ignore (Atomic.fetch_and_add t.in_flight (-n)))
+        (fun () ->
+          List.map snd
+            (Serve.apply_batch ~jobs:t.cfg.jobs ~normalized:true
+               (Atomic.get t.serve) keys))
+    in
+    let now_ms = Obs.now_ms () in
+    List.iter
+      (fun (a : Serve.answer) ->
+        Health.record_confidence t.monitor ~now_ms a.Serve.confidence)
+      answers;
+    k answers
+  end
+
 (* --- handlers --- *)
 
 let handle_geolocate t ctx fd req =
@@ -239,24 +279,16 @@ let handle_geolocate t ctx fd req =
       | Some raw -> (
           match boundary raw with
           | Error `Invalid -> respond ctx fd ~status:400 "invalid hostname\n"
-          | Ok key -> (
+          | Ok key ->
               ctx.batch <- 1;
-              (* read-only probe, before submit: the answer below may
-                 itself populate the cache *)
+              (* read-only probe, before the lookup: the answer below
+                 may itself populate the cache *)
               ctx.cache_hit <- Serve.cached (Atomic.get t.serve) key;
-              match Batcher.submit t.batcher [ key ] with
-              | Ok [ answer ] ->
+              lookup t ctx fd [ key ] (fun answers ->
+                  let answer = List.hd answers in
                   ctx.confidence <- Some answer.Serve.confidence;
                   respond ctx fd ~status:200
-                    (render_answer ?min_conf answer ^ "\n")
-              | Ok _ -> respond ctx fd ~status:500 "internal error\n"
-              | Error `Overloaded ->
-                  ctx.shed <- true;
-                  respond ctx fd
-                    ~headers:[ ("Retry-After", "1") ]
-                    ~status:503 "overloaded, retry later\n"
-              | Error (`Stopped | `Failed) ->
-                  respond ctx fd ~status:503 "shutting down\n")))
+                    (render_answer ?min_conf answer ^ "\n"))))
 
 let handle_batch t ctx fd req =
   match min_conf_param req with
@@ -265,9 +297,7 @@ let handle_batch t ctx fd req =
   | Ok min_conf ->
   let lines =
     String.split_on_char '\n' req.Http.body
-    |> List.map (fun l ->
-           let l = String.trim l in
-           l)
+    |> List.map String.trim
     |> List.filter (fun l -> l <> "")
   in
   if lines = [] then respond ctx fd ~status:400 "empty batch\n"
@@ -280,17 +310,7 @@ let handle_batch t ctx fd req =
     ctx.cache_hit <-
       keys <> []
       && List.for_all (Serve.cached (Atomic.get t.serve)) keys;
-    let submitted =
-      if keys = [] then Ok [] else Batcher.submit t.batcher keys
-    in
-    match submitted with
-    | Error `Overloaded ->
-        ctx.shed <- true;
-        respond ctx fd
-          ~headers:[ ("Retry-After", "1") ]
-          ~status:503 "overloaded, retry later\n"
-    | Error (`Stopped | `Failed) -> respond ctx fd ~status:503 "shutting down\n"
-    | Ok answers ->
+    lookup t ctx fd keys (fun answers ->
         let buf = Buffer.create 4096 in
         let rec render answers = function
           | [] -> ()
@@ -308,7 +328,7 @@ let handle_batch t ctx fd req =
               | [] -> ())
         in
         render answers keyed;
-        respond ctx fd ~status:200 (Buffer.contents buf)
+        respond ctx fd ~status:200 (Buffer.contents buf))
   end
 
 (* the /explain decision trace: serialize explains (the tracer is
@@ -661,34 +681,24 @@ let handle_connection t fd =
           (try respond ctx fd ~status:413 (msg ^ "\n") with _ -> ());
           finish ~histo:false ctx t0
       | Ok req ->
-          let again =
-            Atomic.incr t.active;
-            Fun.protect
-              ~finally:(fun () -> Atomic.decr t.active)
-              (fun () ->
-                let t0 = Obs.now_ms () in
-                let ctx =
-                  make_ctx ~rid:(rid_of_request t req)
-                    ~endpoint:(req.Http.meth ^ " " ^ req.Http.path)
-                in
-                let ok =
-                  Trace.with_span "net.request" ~cat:"net"
-                    ~attrs:
-                      [
-                        ("request_id", ctx.rid); ("endpoint", ctx.endpoint);
-                      ]
-                  @@ fun () ->
-                  match dispatch t ctx fd req with
-                  | () -> true
-                  | exception _ ->
-                      (try respond ctx fd ~status:500 "internal error\n"
-                       with _ -> ());
-                      false
-                in
-                finish ctx t0;
-                ok && Http.keep_alive req)
+          let t0 = Obs.now_ms () in
+          let ctx =
+            make_ctx ~rid:(rid_of_request t req)
+              ~endpoint:(req.Http.meth ^ " " ^ req.Http.path)
           in
-          if again then serve_requests ()
+          let ok =
+            Trace.with_span "net.request" ~cat:"net"
+              ~attrs:[ ("request_id", ctx.rid); ("endpoint", ctx.endpoint) ]
+            @@ fun () ->
+            match dispatch t ctx fd req with
+            | () -> true
+            | exception _ ->
+                (try respond ctx fd ~status:500 "internal error\n"
+                 with _ -> ());
+                false
+          in
+          finish ctx t0;
+          if ok && Http.keep_alive req then serve_requests ()
     end
   in
   (try serve_requests () with _ -> ());
@@ -771,7 +781,6 @@ let start ?(config = default_config) model =
     | _ -> config.port
   in
   let serve = Atomic.make (Serve.create model) in
-  let active = Atomic.make 0 in
   let monitor =
     Health.create_monitor
       ?objectives:config.objectives
@@ -794,40 +803,19 @@ let start ?(config = default_config) model =
             (try Unix.close listener with _ -> ());
             failwith (Printf.sprintf "access log %s: %s" path msg))
   in
-  let batcher =
-    Batcher.create ~max_batch:config.max_batch ~max_wait_ms:config.max_wait_ms
-      ~max_pending:config.max_pending
-      ~more_hint:(fun () -> Atomic.get active)
-      ~apply:(fun keys ->
-        let answers =
-          List.map snd
-            (Serve.apply_batch ~jobs:config.jobs ~normalized:true
-               (Atomic.get serve) keys)
-        in
-        (* every served answer's confidence — cached or computed — feeds
-           the drift window at one point, whatever endpoint asked *)
-        let now_ms = Obs.now_ms () in
-        List.iter
-          (fun (a : Serve.answer) ->
-            Health.record_confidence monitor ~now_ms a.Serve.confidence)
-          answers;
-        answers)
-      ()
-  in
   let t =
     {
       cfg = config;
       listener;
       bound_port;
       serve;
-      batcher;
+      in_flight = Atomic.make 0;
       monitor;
       access;
       health_state = Atomic.make 0;
       rid_counter = Atomic.make 0;
       stop_flag = Atomic.make false;
       reload_flag = Atomic.make false;
-      active;
       explain_mutex = Mutex.create ();
       relearn_mutex = Mutex.create ();
       corpus = config.corpus;
@@ -871,7 +859,6 @@ let stop t =
         Domain.join d;
         t.housekeeper <- None
     | None -> ());
-    Batcher.stop t.batcher;
     (match t.access with Some log -> Access_log.close log | None -> ());
     try Unix.close t.listener with Unix.Unix_error _ -> ()
   end

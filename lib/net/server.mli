@@ -5,14 +5,21 @@
     Threading model: [jobs] accept domains share one listening socket;
     each accepted connection is served to completion (keep-alive) on
     its accept domain with a per-request read deadline, so a
-    slow-loris client costs at most one domain for one deadline. A
-    batcher domain ({!Batcher}) coalesces concurrent lookups into
-    {!Hoiho_serve.Serve.apply_batch} calls, and a housekeeping domain
-    applies reload requests off the serving path.
+    slow-loris client costs at most one domain for one deadline.
+    Lookups are answered on the accept domain that read them, by one
+    {!Hoiho_serve.Serve.apply_batch} call per request. One
+    housekeeping domain applies reload requests off the serving path
+    and refreshes the health gauges; the server starts no other
+    domain.
+
+    Admission: an atomic count of hostnames in flight (admitted, not
+    yet answered) spans every accept domain. A lookup that would take
+    it past [max_pending] is shed whole with [503] and
+    [Retry-After: 1], counted under [net.shed].
 
     Endpoints:
     - [GET /geolocate?h=HOSTNAME] — one answer: [City.describe] text
-      or ["-"], batched with concurrent requests.
+      or ["-"].
     - [POST /batch] — newline-separated hostnames in the body; one
       [hostname<TAB>answer] line per input line, in order (["!invalid"]
       for names rejected at the boundary).
@@ -53,7 +60,7 @@
     {!Hoiho_serve.Serve.t} built off-path, then swapped in with one
     atomic store. The LRU lives inside the [Serve.t], so the swap
     also replaces the cache — stale entries (negative ones included)
-    cannot survive a model change. In-flight batches finish on the
+    cannot survive a model change. In-flight lookups finish on the
     server they started with. Every model swap also swaps the
     expected calibration profile the drift monitor compares served
     confidences against.
@@ -76,9 +83,9 @@ type config = {
   host : string;  (** bind address, default ["127.0.0.1"] *)
   port : int;  (** 0 picks an ephemeral port, see {!port} *)
   jobs : int;  (** accept domains; also the apply parallelism *)
-  max_batch : int;  (** coalescing cap, hostnames per batch *)
-  max_wait_ms : float;  (** coalescing window after the first ticket *)
-  max_pending : int;  (** admission bound; beyond it requests get 503 *)
+  max_pending : int;
+      (** admission bound on hostnames in flight across all accept
+          domains; a lookup that would exceed it gets 503 *)
   request_timeout_s : float;  (** per-request read deadline *)
   max_body : int;  (** request body cap, bytes *)
   model_path : string option;  (** snapshot to re-read on reload *)
@@ -102,8 +109,8 @@ type config = {
 }
 
 val default_config : config
-(** 127.0.0.1:0, jobs = {!Hoiho_util.Pool.default_jobs}, max_batch 64,
-    max_wait_ms 1.0, max_pending 1024, request_timeout_s 5.0,
+(** 127.0.0.1:0, jobs = {!Hoiho_util.Pool.default_jobs},
+    max_pending 1024, request_timeout_s 5.0,
     max_body 1 MiB, no model or corpus path, default objectives over a
     60 s window (5 s × 12 buckets), no access log (16 MiB rotation
     when enabled). *)
@@ -111,7 +118,8 @@ val default_config : config
 type t
 
 val start : ?config:config -> Hoiho.Learned_io.t -> t
-(** Bind, listen, and spawn the accept/batcher/housekeeping domains.
+(** Bind, listen, and spawn [jobs] accept domains plus one
+    housekeeping domain.
     Raises [Unix.Unix_error] if the address cannot be bound. *)
 
 val port : t -> int
@@ -138,5 +146,5 @@ val request_reload : t -> unit
 
 val stop : t -> unit
 (** Graceful shutdown: stop accepting, let in-flight requests finish,
-    drain the batcher, join every domain, close the listener.
-    Idempotent. *)
+    join the accept and housekeeping domains, close the access log and
+    the listener. Idempotent. *)

@@ -1,4 +1,5 @@
 module Learned_io = Hoiho.Learned_io
+module Pipeline = Hoiho.Pipeline
 module Ncsel = Hoiho.Ncsel
 module Plan = Hoiho.Plan
 module Evalx = Hoiho.Evalx
@@ -80,23 +81,6 @@ let usable = function
   | Ncsel.Good | Ncsel.Promising -> true
   | Ncsel.Poor -> false
 
-(* decision-trace attrs, same vocabulary as Pipeline.geolocate *)
-let trace_groups groups =
-  String.concat ","
-    (List.map (function Some g -> g | None -> "-") (Array.to_list groups))
-
-let trace_resolve_result cities provenance confidence =
-  Trace.add_attr "provenance" (Evalx.provenance_name provenance);
-  (match cities with
-  | [] -> Trace.add_attr "resolved" "none"
-  | best :: losers ->
-      Trace.add_attr "resolved" (Hoiho_geodb.City.describe best);
-      if losers <> [] then
-        Trace.add_attr "collision_losers"
-          (String.concat " | "
-             (List.map (Confidence.describe_loser ~best) losers)));
-  Trace.add_attr "confidence" (Printf.sprintf "%.3f" confidence)
-
 (* the apply path, on an already-normalized hostname: a step-for-step
    mirror of Pipeline.geolocate, so a served answer is byte-identical to
    the in-process one on the run the model was saved from. The spans it
@@ -132,7 +116,7 @@ let apply_norm ?parent t hostname =
                     `Next
                 | Some groups -> (
                     Trace.add_attr "matched" "true";
-                    Trace.add_attr "groups" (trace_groups groups);
+                    Trace.add_attr "groups" (Pipeline.trace_groups groups);
                     match Plan.decode c.Learned_io.plan groups with
                     | None ->
                         Trace.add_attr "decoded" "false";
@@ -157,7 +141,8 @@ let apply_norm ?parent t hostname =
                             ~learned:sm.Learned_io.learned ex
                             (cities, provenance)
                         in
-                        trace_resolve_result cities provenance confidence;
+                        Pipeline.trace_resolve_result cities provenance
+                          confidence;
                         `Done
                           (match cities with
                           | best :: _ -> { city = Some best; confidence }

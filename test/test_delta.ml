@@ -3,9 +3,9 @@
    The load-bearing property is the jobs-invariant equivalence
    guarantee (DESIGN.md §12): for any event stream, relearning only
    the dirty suffix groups over the prior run produces a model whose
-   metrics-normalized Learned_io encoding is byte-identical to a
-   from-scratch batch learn of the final corpus — at jobs 1 and at
-   jobs 4, with identical degraded sets and identical stats. A 500-case
+   Learned_io encoding is byte-identical to a from-scratch batch learn
+   of the final corpus — at jobs 1 and at jobs 4, with identical
+   degraded sets and identical stats. A 500-case
    qcheck property holds this over seeded random event streams; the
    table-driven cases pin the conservative dirty-set contract, corpus
    order preservation, the wire codec, and the serving-side
@@ -50,8 +50,7 @@ let fixture =
      let db = Truth.db truth in
      (ds, db, Pipeline.run ~db ~jobs:1 ds))
 
-let normalize m = { m with Learned_io.metrics = Json.Obj [] }
-let enc p = Learned_io.encode (normalize (Learned_io.of_pipeline p))
+let enc p = Learned_io.encode (Learned_io.of_pipeline p)
 
 let degraded_set (p : Pipeline.t) =
   List.filter_map
@@ -368,8 +367,7 @@ let test_relearn_model_matches_batch () =
   Alcotest.(check bool) "something was dirty" true (stats.Delta.dirty <> []);
   let batch = Learned_io.of_pipeline (Pipeline.run ~db ~jobs:1 corpus') in
   Alcotest.(check string) "snapshot-level incremental ≡ batch"
-    (Learned_io.encode (normalize batch))
-    (Learned_io.encode (normalize model'))
+    (Learned_io.encode batch) (Learned_io.encode model')
 
 (* --- satellite 4: negative-cache invalidation on incremental swap --- *)
 

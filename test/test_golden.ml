@@ -219,8 +219,6 @@ let drift_fixture =
      let ds2, truth2 = Evolve.epoch (Evolve.default ~seed:1337) (ds1, truth1) in
      (ds1, ds2, truth2))
 
-let normalize m = { m with Learned_io.metrics = Json.Obj [] }
-
 let test_drift_events () =
   let ds1, ds2, _ = Lazy.force drift_fixture in
   let rendered = Delta.events_to_string (Delta.events_between ds1 ds2) in
@@ -268,8 +266,8 @@ let test_drift_events () =
           let batch = Pipeline.run ~jobs:4 ds2 in
           Alcotest.(check string)
             "incremental relearn across the drift epoch ≡ batch"
-            (Learned_io.encode (normalize (Learned_io.of_pipeline batch)))
-            (Learned_io.encode (normalize (Learned_io.of_pipeline incr)))
+            (Learned_io.encode (Learned_io.of_pipeline batch))
+            (Learned_io.encode (Learned_io.of_pipeline incr))
       | Error e ->
           Alcotest.failf "incremental relearn across the epoch failed: %s"
             (Delta.error_to_string e))

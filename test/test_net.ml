@@ -1,8 +1,9 @@
-(* The serving daemon, end to end: HTTP parser units, batcher units,
-   and a live multi-domain server on an ephemeral loopback port — the
-   72-hostname golden corpus queried over a real socket (including a
-   pass that straddles a hot reload), the single-normalization parity
-   proof, deterministic 503 shedding, reload failure semantics, and
+(* The serving daemon, end to end: HTTP parser units and a live
+   multi-domain server on an ephemeral loopback port — the 72-hostname
+   golden corpus queried over a real socket (including a pass that
+   straddles a hot reload, and concurrent keep-alive clients), the
+   single-normalization parity proof, deterministic 503 shedding and
+   the in-flight admission bound, reload failure semantics, and
    the chaos net-fault plans from Hoiho_netsim.Chaos driven against a
    short-deadline server.
 
@@ -12,7 +13,6 @@
    a connection past its deadline. *)
 
 module Http = Hoiho_net.Http
-module Batcher = Hoiho_net.Batcher
 module Server = Hoiho_net.Server
 module Chaos = Hoiho_netsim.Chaos
 module Pipeline = Hoiho.Pipeline
@@ -325,75 +325,6 @@ let test_pct_codec () =
   Alcotest.(check (option string)) "encode o decode = id" (Some raw)
     (Http.pct_decode (Http.pct_encode raw))
 
-(* --- batcher units --- *)
-
-let test_batcher_basic () =
-  let b = Batcher.create ~apply:(List.map String.uppercase_ascii) () in
-  Fun.protect
-    ~finally:(fun () -> Batcher.stop b)
-    (fun () ->
-      (match Batcher.submit b [ "a"; "b"; "c" ] with
-      | Ok answers ->
-          Alcotest.(check (list string)) "in order" [ "A"; "B"; "C" ] answers
-      | Error _ -> Alcotest.fail "submit failed");
-      match Batcher.submit b [] with
-      | Ok [] -> ()
-      | _ -> Alcotest.fail "empty submit should be Ok []")
-
-let test_batcher_concurrent () =
-  let b = Batcher.create ~max_batch:8 ~max_wait_ms:2.0 ~apply:(List.map String.uppercase_ascii) () in
-  Fun.protect
-    ~finally:(fun () -> Batcher.stop b)
-    (fun () ->
-      let workers =
-        List.init 8 (fun i ->
-            Domain.spawn (fun () ->
-                let key = Printf.sprintf "host%d" i in
-                match Batcher.submit b [ key ] with
-                | Ok [ a ] -> a = String.uppercase_ascii key
-                | _ -> false))
-      in
-      let oks = List.map Domain.join workers in
-      Alcotest.(check bool) "all concurrent submits answered correctly" true
-        (List.for_all Fun.id oks))
-
-let test_batcher_shed () =
-  let b = Batcher.create ~max_pending:4 ~apply:(List.map Fun.id) () in
-  Fun.protect
-    ~finally:(fun () -> Batcher.stop b)
-    (fun () ->
-      let keys = List.init 20 (fun i -> string_of_int i) in
-      match Batcher.submit b keys with
-      | Error `Overloaded -> ()
-      | Ok _ -> Alcotest.fail "20 keys admitted past max_pending=4"
-      | Error _ -> Alcotest.fail "wrong rejection")
-
-let test_batcher_failed_apply_recovers () =
-  let b =
-    Batcher.create
-      ~apply:(fun keys ->
-        if List.mem "boom" keys then failwith "apply exploded"
-        else List.map String.uppercase_ascii keys)
-      ()
-  in
-  Fun.protect
-    ~finally:(fun () -> Batcher.stop b)
-    (fun () ->
-      (match Batcher.submit b [ "boom" ] with
-      | Error `Failed -> ()
-      | _ -> Alcotest.fail "raising apply must fail its waiters");
-      match Batcher.submit b [ "ok" ] with
-      | Ok [ "OK" ] -> ()
-      | _ -> Alcotest.fail "batcher did not survive a failed apply")
-
-let test_batcher_stopped () =
-  let b = Batcher.create ~apply:(List.map Fun.id) () in
-  Batcher.stop b;
-  Batcher.stop b;
-  match Batcher.submit b [ "x" ] with
-  | Error `Stopped -> ()
-  | _ -> Alcotest.fail "submit after stop must be `Stopped"
-
 (* --- serve-layer regression: duplicate suffix must raise --- *)
 
 let test_serve_create_rejects_duplicate () =
@@ -410,8 +341,7 @@ let test_serve_create_rejects_duplicate () =
 
 (* --- the daemon over a real socket --- *)
 
-let small_config =
-  { Server.default_config with Server.jobs = 2; max_wait_ms = 0.5 }
+let small_config = { Server.default_config with Server.jobs = 2 }
 
 let test_server_basics () =
   let _, model, model_path = Lazy.force fixture in
@@ -604,6 +534,45 @@ let test_socket_shed_503 () =
       let status, body, _ = request port ("/geolocate?h=" ^ Http.pct_encode h) in
       Alcotest.(check int) "still serving" 200 status;
       Alcotest.(check string) "still correct" (expected ^ "\n") body)
+
+(* [jobs] clients at once, each sending the whole pinned corpus down
+   its own keep-alive connection: every answer must match. Afterwards
+   a /batch of exactly [max_pending] names must be admitted — the
+   concurrent load released every hostname it counted in flight. *)
+let test_concurrent_clients () =
+  let _, model, _ = Lazy.force fixture in
+  let pinned = corpus_lines () in
+  let config =
+    { small_config with Server.max_pending = List.length pinned }
+  in
+  with_server ~config model (fun _ port ->
+      let client () =
+        let c = kc_connect port in
+        Fun.protect
+          ~finally:(fun () -> kc_close c)
+          (fun () ->
+            List.filter_map
+              (fun (h, expected) ->
+                let status, body =
+                  kc_request c ("/geolocate?h=" ^ Http.pct_encode h)
+                in
+                if status = 200 && body = expected ^ "\n" then None
+                else Some (Printf.sprintf "%s: %d %S" h status body))
+              pinned)
+      in
+      let clients =
+        List.init config.Server.jobs (fun _ -> Domain.spawn client)
+      in
+      Alcotest.(check (list string)) "every concurrent answer matches" []
+        (List.concat_map Domain.join clients);
+      let body = String.concat "\n" (List.map fst pinned) in
+      let status, resp, _ = request ~meth:"POST" ~body port "/batch" in
+      Alcotest.(check int) "a batch of exactly max_pending names is admitted"
+        200 status;
+      Alcotest.(check string) "batch answers"
+        (String.concat ""
+           (List.map (fun (h, e) -> Printf.sprintf "%s\t%s\n" h e) pinned))
+        resp)
 
 let test_reload_semantics () =
   let _, model, model_path = Lazy.force fixture in
@@ -1147,14 +1116,6 @@ let suites =
         Helpers.tc "bodies and pipelining" test_http_body_and_pipelining;
         Helpers.tc "percent codec" test_pct_codec;
       ] );
-    ( "net.batcher",
-      [
-        Helpers.tc "answers in order" test_batcher_basic;
-        Helpers.tc "concurrent submitters" test_batcher_concurrent;
-        Helpers.tc "sheds past the admission bound" test_batcher_shed;
-        Helpers.tc "survives a failing apply" test_batcher_failed_apply_recovers;
-        Helpers.tc "stop is terminal and idempotent" test_batcher_stopped;
-      ] );
     ( "net.server",
       [
         Helpers.tc "duplicate suffix model is rejected"
@@ -1167,6 +1128,8 @@ let suites =
         Helpers.tc "batch endpoint" test_batch_endpoint;
         Helpers.tc "min_conf floor over the wire" test_min_conf;
         Helpers.tc "deterministic 503 shedding" test_socket_shed_503;
+        Helpers.tc "concurrent keep-alive clients, admission released"
+          test_concurrent_clients;
         Helpers.tc "reload semantics" test_reload_semantics;
         Helpers.tc "metrics and explain over the wire"
           test_metrics_and_explain;
